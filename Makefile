@@ -1,5 +1,6 @@
 # Tier-1 verification and day-to-day targets. `make ci` is the one
-# command the verify loop runs: build, vet, tests, race tests.
+# command the verify loop runs: build, vet, lint, docs drift, tests,
+# race tests.
 
 GO ?= go
 
@@ -54,7 +55,7 @@ vuln:
 # A fast benchmark pass over the analyze path: enough to catch gross
 # regressions without the full figure sweep of cmd/irbench.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig10|BenchmarkParallelCompute|BenchmarkServerAnalyzeParallel' \
+	$(GO) test -run '^$$' -bench 'BenchmarkFig10|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
 
 # Per-figure wall-time medians (fig10/fig12) against the committed PR
@@ -120,4 +121,4 @@ test-shard:
 check-docs:
 	$(GO) run ./cmd/docscheck
 
-ci: build vet lint test race
+ci: build vet lint check-docs test race

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/fixture"
 )
 
@@ -66,7 +67,7 @@ func main() {
 		fatal(fmt.Errorf("need -data DIR (with -dims/-weights) or -demo"))
 	}
 
-	m, err := parseMethod(*method)
+	m, err := core.ParseMethod(strings.ToLower(*method))
 	if err != nil {
 		fatal(err)
 	}
@@ -167,21 +168,6 @@ func parseQuery(dimsF, wF string) (repro.Query, error) {
 		}
 	}
 	return repro.NewQuery(dims, weights)
-}
-
-func parseMethod(s string) (repro.Method, error) {
-	switch strings.ToLower(s) {
-	case "scan":
-		return repro.Scan, nil
-	case "prune":
-		return repro.Prune, nil
-	case "thres":
-		return repro.Thres, nil
-	case "cpt":
-		return repro.CPT, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", s)
-	}
 }
 
 func fatal(err error) {

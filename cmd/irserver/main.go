@@ -78,7 +78,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		pool         = flag.Int("pool", 1024, "buffer pool pages for the disk index")
 		maxConc      = flag.Int("max-concurrent", 0, "max queries executing at once (0 = default 4×GOMAXPROCS, negative = unlimited)")
-		parallelism  = flag.Int("parallelism", 0, "per-query dimension parallelism for /analyze (0 = paper-literal sequential)")
 		cacheEntries = flag.Int("cache-entries", 0, "answer cache entry bound (0 = default)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "answer cache byte bound (0 = default)")
 		noCache      = flag.Bool("no-cache", false, "disable the immutable-region answer cache")
@@ -125,7 +124,6 @@ func main() {
 	}
 	cfg := engine.Config{
 		MaxConcurrent:   *maxConc,
-		Parallelism:     *parallelism,
 		CacheEntries:    *cacheEntries,
 		CacheBytes:      *cacheBytes,
 		VerifyChecksums: *verify,
@@ -344,8 +342,8 @@ func main() {
 	obs.Log().Info("starting", "version", obs.Version, "commit", obs.Commit, "addr", *addr)
 
 	if eng != nil {
-		fmt.Printf("irserver: %d tuples, %d dimensions, listening on %s (max-concurrent=%d parallelism=%d cache=%v mutable=%v wal=%v)\n",
-			eng.N(), eng.Dim(), *addr, *maxConc, *parallelism, eng.CacheEnabled(), eng.Mutable(), eng.Durable())
+		fmt.Printf("irserver: %d tuples, %d dimensions, listening on %s (max-concurrent=%d cache=%v mutable=%v wal=%v)\n",
+			eng.N(), eng.Dim(), *addr, *maxConc, eng.CacheEnabled(), eng.Mutable(), eng.Durable())
 		if ds := eng.DurabilityStats(); ds.Enabled && (ds.ReplayedRecords > 0 || ds.TruncatedBytes > 0) {
 			fmt.Printf("irserver: recovered %d ops from %d wal records (%d torn bytes repaired)\n",
 				ds.ReplayedOps, ds.ReplayedRecords, ds.TruncatedBytes)

@@ -10,21 +10,25 @@ import (
 // Cached immutable regions are validity certificates precisely because
 // recomputing an analysis yields bit-identical output (the replication
 // and cache property tests assert it); docs/architecture.md and the
-// engine godoc argue the invariant. Three things break it silently:
+// engine godoc argue the invariant. Four things break it silently:
 //
 //   - ranging over a map where the iteration order can feed score
 //     accumulation or result ordering (Go randomizes map order);
 //   - wall-clock reads (time.Now and friends) influencing computation;
-//   - math/rand anywhere in the core.
+//   - math/rand anywhere in the core;
+//   - go statements: a computation that spawns goroutines makes its
+//     counters (and anything sharing a scan or a buffer pool) depend on
+//     scheduling. One query's region computation runs on the calling
+//     goroutine; concurrency belongs to the layers above the core.
 //
-// The analyzer forbids all three in internal/core, internal/geom and
+// The analyzer forbids all four in internal/core, internal/geom and
 // internal/topk. Uses that provably cannot affect answers (metrics
 // timing, a map range whose elements are fully re-sorted with a total
 // order) are deliberate exceptions: suppress with
 // //lint:allow detcore <reason>.
 var DetCore = &Analyzer{
 	Name: "detcore",
-	Doc:  "forbid nondeterminism sources (map range order, wall clock, math/rand) in the computation core",
+	Doc:  "forbid nondeterminism sources (map range order, wall clock, math/rand, goroutines) in the computation core",
 	Run:  runDetCore,
 }
 
@@ -45,6 +49,8 @@ func runDetCore(pass *Pass) error {
 						pass.Reportf(n.Pos(), "import of %s in a deterministic-core package: region certificates require bit-identical recomputation", p)
 					}
 				}
+			case *ast.GoStmt:
+				pass.Reportf(n.Pos(), "go statement in a deterministic-core package: region computation runs on the calling goroutine so its counters never depend on scheduling")
 			case *ast.RangeStmt:
 				if t := pass.TypesInfo.TypeOf(n.X); t != nil {
 					if _, isMap := t.Underlying().(*types.Map); isMap {

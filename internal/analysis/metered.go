@@ -10,7 +10,7 @@ import (
 // meter (storage godoc, docs/architecture.md "per-query I/O meters").
 // The paper's Fig. 10/Fig. 12 evaluation counts — and the property
 // tests asserting "evaluated/op bit-identical" across cache hits,
-// parallelism levels and replicas — are only meaningful if no read
+// shards and replicas — are only meaningful if no read
 // slips past the meter. Concretely, in internal/core, internal/topk,
 // internal/engine and internal/shard:
 //

@@ -20,6 +20,12 @@ func timed() time.Duration {
 	return time.Since(t0) // want `time.Since`
 }
 
+func fanOut(work []func()) {
+	for _, w := range work {
+		go w() // want `go statement`
+	}
+}
+
 func orderedSum(xs []float64) float64 {
 	s := 0.0
 	for _, v := range xs {

@@ -12,3 +12,5 @@ func Count(m map[string]int) int {
 }
 
 func Stamp() time.Time { return time.Now() }
+
+func Background(f func()) { go f() }

@@ -17,33 +17,16 @@
 // 1–3); φ > 0 runs the score–deviation envelope machinery of §6. An
 // exact brute-force oracle (oracle.go) independent of TA validates both.
 //
-// # Concurrency model
+// # Execution model
 //
-// Dimensions are independent given the TA state, so Compute can fan the
-// per-dimension work out across a goroutine pool (Options.Parallelism).
-// What is shared between dimension workers is strictly read-only: the
-// index, the query, the ranked result, and the candidate snapshot taken
-// when TA terminated. Everything a dimension mutates is private to it —
-// its topk.Fork (an isolated resumable scan with cloned cursors, so
-// Phase-3 pulls never leak across dimensions), its evaluation memo, and
-// its own Metrics, which are merged in ascending dimension order after
-// the workers drain so the reported totals are deterministic. Phase
-// durations then sum per-dimension CPU time, not wall time. I/O charges
-// from all workers land on the index's (atomic) meter; the SeqPages and
-// RandReads deltas in Metrics bracket the whole call.
-//
-// Parallelism ≤ 0 keeps the paper-literal sequential semantics: one
-// shared scan, later dimensions observing earlier dimensions' Phase-3
-// pulls, exactly as the published pseudo-code reads. Parallelism ≥ 1
-// switches to fork isolation; 1 runs the forked dimensions on the
-// calling goroutine, and because forks are deterministic regardless of
-// scheduling, Parallelism = 1 and Parallelism = N produce bit-identical
-// Regions and evaluation metrics (Evaluated, per-dimension counts,
-// Phase-3 pulls, RandReads; durations excepted). SeqPages is likewise
-// identical on a MemIndex, whose logical page charges are
-// deterministic; on a DiskIndex the buffer pool is shared across
-// workers, so which access pays a physical page miss depends on
-// interleaving and SeqPages may vary between runs.
+// The query dimensions are handled one after another over a single
+// resumable scan, exactly as Algorithms 1–3 read: Phase 3 of a dimension
+// resumes the shared TA scan, so later dimensions observe earlier
+// dimensions' pulls. One Compute call runs on the calling goroutine;
+// concurrency lives above it (independent queries on independent
+// scans), so the evaluation counters of a query never depend on
+// scheduling. The SeqPages and RandReads deltas in Metrics bracket the
+// whole call.
 package core
 
 import (
@@ -51,7 +34,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/lists"
@@ -91,6 +73,38 @@ func (m Method) String() string {
 	}
 }
 
+// methodNames are the wire names of the methods, as the HTTP API, the
+// shard RPC and the CLI spell them.
+var methodNames = [...]string{
+	MethodScan:  "scan",
+	MethodPrune: "prune",
+	MethodThres: "thres",
+	MethodCPT:   "cpt",
+}
+
+// ParseMethod maps a wire name (scan, prune, thres, cpt; case-sensitive)
+// to its Method. The empty name selects CPT, the paper's full algorithm.
+func ParseMethod(s string) (Method, error) {
+	if s == "" {
+		return MethodCPT, nil
+	}
+	for m, name := range methodNames {
+		if name == s {
+			return Method(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown method %q", s)
+}
+
+// Name returns the method's wire name, the inverse of ParseMethod. An
+// out-of-range value renders as String does, which ParseMethod rejects.
+func (m Method) Name() string {
+	if m >= 0 && int(m) < len(methodNames) {
+		return methodNames[m]
+	}
+	return m.String()
+}
+
 // Options configures a region computation.
 type Options struct {
 	Method Method
@@ -109,14 +123,6 @@ type Options struct {
 	ForceEnvelope bool
 	// Schedule selects the probing schedule of the thresholding lists.
 	Schedule Schedule
-	// Parallelism selects the per-dimension execution mode. ≤ 0 (the
-	// default) is the paper-literal sequential pipeline: one shared TA
-	// scan, later dimensions seeing earlier dimensions' Phase-3 pulls.
-	// ≥ 1 isolates every dimension on its own TA fork and runs up to
-	// Parallelism dimensions concurrently; 1 and N are bit-identical in
-	// results and evaluation metrics (see the package comment for the
-	// exact guarantee and the DiskIndex SeqPages caveat).
-	Parallelism int
 }
 
 // Schedule is the probing schedule of Thres/CPT. §5.2 reports having
@@ -206,8 +212,7 @@ func applyPerturbation(ranked []int, p Perturbation) error {
 // Metrics meters one Compute call. Evaluated counts candidates checked
 // against the result boundary (the paper's "# evaluated candidates";
 // fetching each costs one random I/O). Phase durations cover all query
-// dimensions (in parallel mode they sum per-dimension CPU time, not wall
-// time); I/O counters are deltas against the index's meter.
+// dimensions; I/O counters are deltas against the index's meter.
 type Metrics struct {
 	Evaluated       int
 	EvaluatedPerDim []int
@@ -218,19 +223,6 @@ type Metrics struct {
 	SeqPages        int64
 	RandReads       int64
 	MemBytes        int64
-}
-
-// merge folds one dimension's metrics into the aggregate. Callers merge
-// in ascending dimension order, making parallel totals deterministic.
-func (m *Metrics) merge(o Metrics) {
-	m.Evaluated += o.Evaluated
-	for i, v := range o.EvaluatedPerDim {
-		m.EvaluatedPerDim[i] += v
-	}
-	m.Phase1 += o.Phase1
-	m.Phase2 += o.Phase2
-	m.Phase3 += o.Phase3
-	m.Phase3Pulled += o.Phase3Pulled
 }
 
 // EvaluatedPerDimAvg is Evaluated averaged over the query dimensions.
@@ -263,8 +255,7 @@ func (o *Output) RankedIDs() []int {
 }
 
 // computer carries the state shared by every dimension of one Compute
-// call. All fields are read-only once the TA run has completed, so any
-// number of dimension workers may consult them concurrently.
+// call. All fields are read-only once the TA run has completed.
 type computer struct {
 	ix   lists.Index
 	q    vec.Query
@@ -278,16 +269,11 @@ type computer struct {
 	// bail out early once it fires; Compute then discards the partial
 	// output and surfaces the context's error.
 	ctx context.Context
-
-	// forked reports whether the per-dimension work ran on TA forks, in
-	// which case Phase-3 pulls live in the forks' private candidate
-	// lists (not the parent's) and the memory model adds them separately.
-	forked bool
 }
 
 // dimComputer is the working state of one dimension's region
-// computation: the shared read-only computer plus this dimension's
-// private scan view, metrics, and evaluation memo.
+// computation: the shared read-only computer plus the scan view, the
+// call's metrics and the evaluation memo (reset per dimension).
 type dimComputer struct {
 	*computer
 	view topk.View
@@ -317,7 +303,7 @@ type evalTable struct {
 }
 
 // evalDenseMax caps the dense layout: beyond ~1M tuples the O(n) arrays
-// (28 B/tuple, one table per concurrent query and per worker) would
+// (28 B/tuple, one table per concurrent query) would
 // dominate server memory, so larger datasets fall back to a map sized
 // by the candidates actually evaluated.
 const evalDenseMax = 1 << 20
@@ -398,20 +384,16 @@ func putEvalTable(t *evalTable) {
 // Runner is the execution surface region computation drives: a
 // topk.View that can additionally be run to termination (a no-op when
 // the scan already completed — e.g. a member view of a fused
-// multi-query run) and forked for per-dimension isolation. *topk.TA and
-// *topk.MemberRun both implement it.
+// multi-query run). *topk.TA and *topk.MemberRun both implement it.
 type Runner interface {
 	topk.View
 	RunContext(ctx context.Context) error
-	ForkView() topk.View
 }
 
 // Compute derives the immutable regions of every query dimension from a
-// completed TA run. With Options.Parallelism ≤ 0 the TA's candidate
-// list grows as Phase 3 resumes the scan, exactly as in the paper
-// (later dimensions see earlier additions); with Parallelism ≥ 1 every
-// dimension works on an isolated fork of the scan (see the package
-// comment for the full concurrency model).
+// completed TA run. The TA's candidate list grows as Phase 3 resumes the
+// scan, exactly as in the paper (later dimensions see earlier
+// additions).
 //
 // ctx cancels the computation mid-flight: the TA round loop, the
 // Phase-2 evaluation/thresholding loops and the Phase-3 resume loops all
@@ -455,10 +437,8 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 		for jx := range c.q.Dims {
 			out.Regions[jx] = c.fullDomainRegions(jx)
 		}
-	case opts.Parallelism <= 0:
-		c.computeSequential(r, out, &met)
 	default:
-		c.computeForked(r, out, &met)
+		c.computeSequential(r, out, &met)
 	}
 	if err := c.canceled(); err != nil {
 		return nil, fmt.Errorf("core: query canceled: %w", err)
@@ -467,13 +447,6 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 	met.SeqPages = seq1 - seq0
 	met.RandReads = rnd1 - rnd0
 	met.MemBytes = c.memFootprint(r.Candidates())
-	// Forked Phase-3 pulls grow the forks' private candidate lists, not
-	// the parent's, so memFootprint missed them; add all pulls at the
-	// candidate-entry unit (16 B) to match the sequential path, where
-	// the same pulls land in ta.cands before the footprint is taken.
-	if c.forked {
-		met.MemBytes += int64(met.Phase3Pulled) * 16
-	}
 	out.Metrics = met
 	return out, nil
 }
@@ -510,65 +483,6 @@ func (c *computer) computeSequential(r Runner, out *Output, met *Metrics) {
 		d.eval.reset()
 		out.Regions[jx] = d.computeDim(jx)
 	}
-}
-
-// computeForked fans the dimensions out over min(Parallelism, qlen)
-// workers, each dimension on its own TA fork, and merges the
-// per-dimension metrics in ascending dimension order.
-func (c *computer) computeForked(r Runner, out *Output, met *Metrics) {
-	qlen := c.q.Len()
-	workers := c.opts.Parallelism
-	if workers > qlen {
-		workers = qlen
-	}
-	perDim := make([]Metrics, qlen)
-	var next atomic.Int64
-	var panicOnce sync.Once
-	var panicked any
-	run := func() {
-		eval := getEvalTable(c.n)
-		defer putEvalTable(eval)
-		for {
-			jx := int(next.Add(1)) - 1
-			if jx >= qlen || c.canceled() != nil {
-				return
-			}
-			perDim[jx].EvaluatedPerDim = make([]int, qlen)
-			d := &dimComputer{
-				computer: c,
-				view:     r.ForkView(),
-				met:      &perDim[jx],
-				eval:     eval,
-			}
-			eval.reset()
-			out.Regions[jx] = d.computeDim(jx)
-		}
-	}
-	if workers == 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicOnce.Do(func() { panicked = r })
-					}
-				}()
-				run()
-			}()
-		}
-		wg.Wait()
-		if panicked != nil {
-			panic(panicked)
-		}
-	}
-	for jx := range perDim {
-		met.merge(perDim[jx])
-	}
-	c.forked = true
 }
 
 // computeDim routes one dimension to the right algorithm variant.

@@ -41,10 +41,8 @@ import (
 // (a shard's local top-k always contains its global-result members, so
 // they would otherwise be double-reported as candidates).
 //
-// The wrapped runner must be used with sequential region computation
-// (Options.Parallelism <= 0): Phase-3 pulls must land in the shared
-// candidate list so ContributedLines can report every line offered to
-// the boundaries.
+// Phase-3 pulls land in the wrapped runner's shared candidate list, so
+// ContributedLines reports every line offered to the boundaries.
 func WithImposed(r Runner, base int, imposed []topk.Scored) Runner {
 	return &imposedRunner{inner: r, base: base, imposed: imposed}
 }
@@ -140,12 +138,6 @@ func (v *imposedRunner) Index() lists.Index {
 }
 
 func (v *imposedRunner) RunContext(ctx context.Context) error { return v.inner.RunContext(ctx) }
-
-// ForkView panics: imposed computations are sequential by contract (see
-// WithImposed), so the forked per-dimension path never runs.
-func (v *imposedRunner) ForkView() topk.View {
-	panic("core: imposed runner cannot fork; use Parallelism <= 0")
-}
 
 // ContributedLines returns every shard line the computation offered to
 // the result boundaries — the candidate view after all phases ran,

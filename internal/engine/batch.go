@@ -227,11 +227,7 @@ func (e *Engine) analyzeUnit(ctx context.Context, cells []*cell, results []Batch
 	seqScan -= seq0
 	rndScan -= rnd0
 	for i, c := range pending {
-		copts := c.item.Opts.Options
-		if copts.Parallelism == 0 {
-			copts.Parallelism = e.cfg.Parallelism
-		}
-		out, err := core.ComputeView(ctx, multi.Member(i), copts)
+		out, err := core.ComputeView(ctx, multi.Member(i), c.item.Opts.Options)
 		if err != nil {
 			results[c.first] = BatchResult{Err: err}
 			continue

@@ -39,9 +39,9 @@ import (
 )
 
 // sig is the part of the options that selects WHICH output an analysis
-// produces. Method, Schedule and Parallelism are excluded: every
-// variant provably computes the same regions (the repo's property and
-// parallel-equality tests enforce it), so a CPT analysis may serve a
+// produces. Method and Schedule are excluded: every variant provably
+// computes the same regions (the repo's oracle and property tests
+// enforce it), so a CPT analysis may serve a
 // Scan request and vice versa. Iterative/ForceEnvelope likewise only
 // change the route, not the answer — but they exist for measurement, so
 // requests carrying them are expected to arrive with NoCache anyway.

@@ -9,8 +9,7 @@
 //   - TA construction over a per-query child I/O meter, so each
 //     analysis is metered in isolation while the index-wide counters
 //     keep aggregating,
-//   - region computation (core.Compute) with the engine's default
-//     per-dimension parallelism,
+//   - region computation (core.Compute),
 //   - context-aware admission (a bounded worker pool; queued requests
 //     abandon cleanly) and in-flight cancellation threaded down to the
 //     TA round loop,
@@ -88,11 +87,6 @@ type Config struct {
 	// backpressure. 0 picks the default of 4×GOMAXPROCS; a negative
 	// value disables the cap entirely. Cache hits bypass the pool.
 	MaxConcurrent int
-	// Parallelism is the default core.Options.Parallelism applied when a
-	// query's own options leave it 0: the number of goroutines one
-	// query's per-dimension region work fans over (≤ 0 keeps the
-	// paper-literal sequential pipeline).
-	Parallelism int
 	// CacheEntries bounds the answer cache's entry count. 0 picks
 	// DefaultCacheEntries; a negative value disables the cache.
 	CacheEntries int
@@ -468,14 +462,10 @@ func (e *Engine) Analyze(ctx context.Context, q vec.Query, k int, opts Options) 
 }
 
 // compute runs the full pipeline: TA over a child meter, then
-// core.Compute with the engine's default parallelism.
+// core.Compute.
 func (e *Engine) compute(ctx context.Context, q vec.Query, k int, opts Options) (*core.Output, error) {
-	copts := opts.Options
-	if copts.Parallelism == 0 {
-		copts.Parallelism = e.cfg.Parallelism
-	}
 	ta := topk.New(e.queryIndex(), q, k, opts.policy())
-	out, err := core.Compute(ctx, ta, copts)
+	out, err := core.Compute(ctx, ta, opts.Options)
 	if err == nil {
 		observeCompute(out.Metrics.Phase1, out.Metrics.Phase2, out.Metrics.Phase3, ta.SortedAccesses())
 	}

@@ -35,9 +35,8 @@ type lineContributor interface {
 //
 // Imposed analyses bypass the answer cache in both directions: the
 // output certifies the imposed result, not a local answer, so it can
-// neither be served from nor admitted to the cache. The computation is
-// forced sequential (core Parallelism ≤ 0) so every Phase-3 pull lands
-// in the shared candidate list the contributed-line report reads.
+// neither be served from nor admitted to the cache. Every Phase-3 pull
+// lands in the shared candidate list the contributed-line report reads.
 func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, imposed []topk.Scored, opts Options) (*core.Output, []topk.Scored, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -56,11 +55,9 @@ func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, i
 	defer release()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	copts := opts.Options
-	copts.Parallelism = -1
 	ta := topk.New(e.queryIndex(), q, k, opts.policy())
 	runner := core.WithImposed(ta, base, imposed)
-	out, err := core.ComputeView(ctx, runner, copts)
+	out, err := core.ComputeView(ctx, runner, opts.Options)
 	if err != nil {
 		return nil, nil, err
 	}

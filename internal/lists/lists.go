@@ -32,8 +32,8 @@
 // I/O meter is written. Mutations are NOT internally synchronized —
 // the engine serializes them against queries under its RWMutex (see
 // internal/engine's lock ordering). Cursors are single-query state and
-// are not safe for sharing — each query (or each forked per-dimension
-// scan) opens or Clones its own. WithStats derives a view of the index
+// are not safe for sharing — each query (or each member of a fused
+// multi-query scan) opens or Clones its own. WithStats derives a view of the index
 // whose accesses are charged to a separate meter; a concurrent server
 // gives each query a view over a Child of the shared meter so
 // per-query deltas stay exact while the global counters keep
@@ -58,7 +58,8 @@ type Cursor interface {
 	// Consumed reports how many postings have been consumed.
 	Consumed() int
 	// Clone returns an independent cursor at the same position, so a
-	// forked scan can resume from here without disturbing the original.
+	// member of a fused multi-query scan can resume from here without
+	// disturbing the original or its siblings.
 	Clone() Cursor
 }
 

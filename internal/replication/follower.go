@@ -34,7 +34,7 @@ type FollowerConfig struct {
 	// PoolPages sizes the disk index buffer pool.
 	PoolPages int
 	// Engine is the base engine configuration (cache bounds, worker
-	// pool, parallelism). WAL, sync policy (fsync-per-batch — an ack
+	// pool). WAL, sync policy (fsync-per-batch — an ack
 	// must mean stable storage) and writability are forced.
 	Engine engine.Config
 	// DialTimeout bounds one connection attempt (default 5s);

@@ -73,15 +73,12 @@ import (
 )
 
 // Config tunes the server's engine. The zero value picks the defaults
-// of engine.Config: a 4×GOMAXPROCS worker pool, sequential per-query
-// dimension processing, and the answer cache at its default bounds.
+// of engine.Config: a 4×GOMAXPROCS worker pool and the answer cache at
+// its default bounds.
 type Config struct {
 	// MaxConcurrent caps the number of queries executing at once
 	// (0 = default 4×GOMAXPROCS, negative = unlimited).
 	MaxConcurrent int
-	// Parallelism fans one query's per-dimension region work over up to
-	// n goroutines (0 = paper-literal sequential).
-	Parallelism int
 	// CacheEntries bounds the answer cache (0 = default, negative =
 	// cache disabled).
 	CacheEntries int
@@ -129,7 +126,6 @@ func New(ix lists.Index) *Server { return NewWithConfig(ix, Config{}) }
 func NewWithConfig(ix lists.Index, cfg Config) *Server {
 	return FromEngine(engine.New(ix, engine.Config{
 		MaxConcurrent: cfg.MaxConcurrent,
-		Parallelism:   cfg.Parallelism,
 		CacheEntries:  cfg.CacheEntries,
 		CacheBytes:    cfg.CacheBytes,
 		ReadOnly:      cfg.ReadOnly,
@@ -540,7 +536,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 // buildOptions maps a request to engine options; the method string is
 // the only field needing parsing.
 func buildOptions(req QueryRequest) (engine.Options, error) {
-	method, err := parseMethod(req.Method)
+	method, err := core.ParseMethod(req.Method)
 	if err != nil {
 		return engine.Options{}, fmt.Errorf("%w: %v", engine.ErrInvalid, err)
 	}
@@ -556,9 +552,10 @@ func buildOptions(req QueryRequest) (engine.Options, error) {
 
 // toAnalyzeResponse renders one completed analysis.
 func toAnalyzeResponse(a *engine.Analysis) AnalyzeResponse {
-	resp := AnalyzeResponse{
-		Result: toEntries(a.Result),
-		Cache:  a.Source.String(),
+	return AnalyzeResponse{
+		Result:  toEntries(a.Result),
+		Regions: ToRegionsJSON(a.Regions),
+		Cache:   a.Source.String(),
 		Metrics: MetricsJSON{
 			Evaluated:    a.Metrics.Evaluated,
 			EvaluatedAvg: a.Metrics.EvaluatedPerDimAvg(),
@@ -568,7 +565,14 @@ func toAnalyzeResponse(a *engine.Analysis) AnalyzeResponse {
 			MemBytes:     a.Metrics.MemBytes,
 		},
 	}
-	for _, reg := range a.Regions {
+}
+
+// ToRegionsJSON renders computed regions in their wire form. It is
+// shared by every endpoint that returns regions: /analyze on a single
+// node, the shard-side /shard/analyze and the coordinator's /analyze.
+func ToRegionsJSON(regs []core.Regions) []RegionJSON {
+	var out []RegionJSON
+	for _, reg := range regs {
 		rj := RegionJSON{Dim: reg.Dim, Lo: reg.Lo, Hi: reg.Hi}
 		for _, p := range reg.Left {
 			rj.Left = append(rj.Left, PerturbationJSON(p))
@@ -576,9 +580,9 @@ func toAnalyzeResponse(a *engine.Analysis) AnalyzeResponse {
 		for _, p := range reg.Right {
 			rj.Right = append(rj.Right, PerturbationJSON(p))
 		}
-		resp.Regions = append(resp.Regions, rj)
+		out = append(out, rj)
 	}
-	return resp
+	return out
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -910,21 +914,6 @@ func toEntries(res []topk.Scored) []ResultEntry {
 		out[i] = ResultEntry{ID: sc.ID, Score: sc.Score}
 	}
 	return out
-}
-
-func parseMethod(s string) (core.Method, error) {
-	switch s {
-	case "", "cpt":
-		return core.MethodCPT, nil
-	case "scan":
-		return core.MethodScan, nil
-	case "prune":
-		return core.MethodPrune, nil
-	case "thres":
-		return core.MethodThres, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", s)
-	}
 }
 
 // decodeQuery parses and validates the request body common to /topk and

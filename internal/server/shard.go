@@ -116,7 +116,7 @@ func (s *Server) handleShardAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	method, err := parseMethod(req.Method)
+	method, err := core.ParseMethod(req.Method)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -138,7 +138,8 @@ func (s *Server) handleShardAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := ShardAnalyzeResponse{
-		Lines: ToScoredJSON(lines),
+		Regions: ToRegionsJSON(out.Regions),
+		Lines:   ToScoredJSON(lines),
 		Metrics: MetricsJSON{
 			Evaluated:    out.Metrics.Evaluated,
 			EvaluatedAvg: out.Metrics.EvaluatedPerDimAvg(),
@@ -147,16 +148,6 @@ func (s *Server) handleShardAnalyze(w http.ResponseWriter, r *http.Request) {
 			CPUMicros:    out.Metrics.CPU().Microseconds(),
 			MemBytes:     out.Metrics.MemBytes,
 		},
-	}
-	for _, reg := range out.Regions {
-		rj := RegionJSON{Dim: reg.Dim, Lo: reg.Lo, Hi: reg.Hi}
-		for _, p := range reg.Left {
-			rj.Left = append(rj.Left, PerturbationJSON(p))
-		}
-		for _, p := range reg.Right {
-			rj.Right = append(rj.Right, PerturbationJSON(p))
-		}
-		resp.Regions = append(resp.Regions, rj)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

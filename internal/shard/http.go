@@ -67,7 +67,7 @@ func (h HTTPBackend) AnalyzeImposed(ctx context.Context, q vec.Query, k, base in
 		Base:            base,
 		Imposed:         server.ToScoredJSON(imposed),
 		Phi:             opts.Phi,
-		Method:          methodName(opts.Method),
+		Method:          opts.Method.Name(),
 		CompositionOnly: opts.CompositionOnly,
 		ForceEnvelope:   opts.ForceEnvelope,
 		Iterative:       opts.Iterative,
@@ -179,20 +179,6 @@ func SelfBeacon(nodeID, httpAddr string) func() any {
 	return func() any { return ci }
 }
 
-// methodName is parseMethod's inverse for the shard RPC.
-func methodName(m core.Method) string {
-	switch m {
-	case core.MethodScan:
-		return "scan"
-	case core.MethodPrune:
-		return "prune"
-	case core.MethodThres:
-		return "thres"
-	default:
-		return "cpt"
-	}
-}
-
 // NewHandler exposes the coordinator behind the public single-node
 // surface — /topk, /analyze, /update, /delete, plus /healthz and
 // /metrics — so existing clients work unchanged against a sharded
@@ -224,7 +210,7 @@ func NewHandler(c *Coordinator) http.Handler {
 		if !ok {
 			return
 		}
-		method, err := parseMethodName(req.Method)
+		method, err := core.ParseMethod(req.Method)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -246,16 +232,7 @@ func NewHandler(c *Coordinator) http.Handler {
 		for _, sc := range an.Result {
 			resp.Result = append(resp.Result, server.ResultEntry{ID: sc.ID, Score: sc.Score})
 		}
-		for _, reg := range an.Regions {
-			rj := server.RegionJSON{Dim: reg.Dim, Lo: reg.Lo, Hi: reg.Hi}
-			for _, p := range reg.Left {
-				rj.Left = append(rj.Left, server.PerturbationJSON(p))
-			}
-			for _, p := range reg.Right {
-				rj.Right = append(rj.Right, server.PerturbationJSON(p))
-			}
-			resp.Regions = append(resp.Regions, rj)
-		}
+		resp.Regions = server.ToRegionsJSON(an.Regions)
 		resp.Metrics = server.MetricsJSON{
 			Evaluated:    an.Metrics.Evaluated,
 			EvaluatedAvg: an.Metrics.EvaluatedPerDimAvg(),
@@ -379,22 +356,6 @@ func decodeQuery(w http.ResponseWriter, r *http.Request) (server.QueryRequest, v
 		return req, vec.Query{}, false
 	}
 	return req, q, true
-}
-
-// parseMethodName mirrors the single-node server's method strings.
-func parseMethodName(s string) (core.Method, error) {
-	switch s {
-	case "", "cpt":
-		return core.MethodCPT, nil
-	case "scan":
-		return core.MethodScan, nil
-	case "prune":
-		return core.MethodPrune, nil
-	case "thres":
-		return core.MethodThres, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", s)
-	}
 }
 
 // scatterError maps a merge failure to a status: client faults are

@@ -341,14 +341,3 @@ func (r *MemberRun) Resume() (Scored, bool) {
 		}
 	}
 }
-
-// ForkView returns an isolated resumable copy for one dimension of a
-// parallel region computation, mirroring TA.Fork.
-func (r *MemberRun) ForkView() View {
-	return &Fork{
-		scanState: r.scanState.clone(),
-		arena:     ProjArena{Qlen: r.q.Len()},
-		result:    r.result,
-		cands:     slices.Clone(r.cands),
-	}
-}

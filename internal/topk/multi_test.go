@@ -136,12 +136,6 @@ func TestMultiMemberResume(t *testing.T) {
 	if len(b.Candidates()) != lenB {
 		t.Fatal("resuming member 0 grew member 1's candidate list")
 	}
-	// A fork of a member view resumes independently of its parent.
-	f := a.ForkView()
-	lenA := len(a.Candidates())
-	if _, ok := f.Resume(); ok && len(a.Candidates()) != lenA {
-		t.Fatal("forked view's resume mutated the member view")
-	}
 }
 
 // TestMultiPanics pins the constructor's contract violations.

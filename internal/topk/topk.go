@@ -7,12 +7,6 @@
 // non-result tuple in the candidate list C(q) (decreasing score order),
 // which is the raw material of immutable-region computation, and the
 // state is resumable — Phase 3 of Scan/CPT continues the very same scan.
-//
-// A completed run can also be forked (Fork): each fork carries its own
-// cursor clones and encountered-set copy, so several region computations
-// (one per query dimension) can resume the scan independently and
-// concurrently without observing each other's pulls. The View interface
-// abstracts over the shared TA and its forks for that purpose.
 package topk
 
 import (
@@ -70,8 +64,7 @@ func (s Scored) NonZero() int {
 // run: the ranked result, the candidate list, and a resumable scan. It
 // is implemented by *TA itself (the paper-literal shared scan, where
 // later dimensions observe earlier dimensions' Phase-3 pulls) and by
-// *Fork (an isolated per-dimension scan for deterministic parallel
-// execution).
+// *MemberRun (one member's continuation of a fused multi-query scan).
 type View interface {
 	Query() vec.Query
 	K() int
@@ -86,7 +79,8 @@ type View interface {
 
 // scanState is the resumable position of a TA scan over the inverted
 // lists: cursor positions, per-list consumption bookkeeping and the
-// encountered-tuple set. It is the part of a run that Fork duplicates.
+// encountered-tuple set. It is the part of a fused run that Multi.Member
+// duplicates per member.
 type scanState struct {
 	ix     lists.Index
 	q      vec.Query
@@ -103,8 +97,8 @@ type scanState struct {
 
 	// ctx, when non-nil, is polled every ctxCheckStride sorted accesses;
 	// once it is cancelled the scan refuses further work (rawStep reports
-	// exhaustion) and ctxErr records why. Forks inherit both fields, so
-	// cancelling the query stops every per-dimension continuation too.
+	// exhaustion) and ctxErr records why. Member views inherit both
+	// fields, so cancelling a fused run stops every member continuation.
 	ctx    context.Context
 	ctxErr error
 }
@@ -116,7 +110,7 @@ const ctxCheckStride = 256
 
 // bitset is a fixed-size bit array over tuple ids. One bit per tuple
 // keeps the per-query footprint at n/8 bytes — the encountered set is
-// cloned per Fork, so compactness matters at large n.
+// cloned per Multi member, so compactness matters at large n.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
@@ -550,60 +544,6 @@ func (ta *TA) Resume() (Scored, bool) {
 		if sc != nil {
 			ta.cands = append(ta.cands, *sc)
 			return *sc, true
-		}
-	}
-}
-
-// Fork returns an independent resumable view of the completed run: its
-// own cursor clones, encountered set, and candidate-list copy. Resuming
-// a fork never mutates the parent TA or any sibling fork, so one fork
-// per query dimension lets Phase 3 of each dimension pull down its lists
-// concurrently and deterministically (every fork sees exactly the
-// post-Run state, regardless of scheduling). Forked sorted accesses are
-// NOT reported to a SetTrace callback — the callback is not safe for
-// concurrent forks — so Fig. 2 traces only cover the shared scan.
-func (ta *TA) Fork() *Fork {
-	ta.mustBeDone("Fork")
-	return &Fork{
-		scanState: ta.scanState.clone(),
-		arena:     ProjArena{Qlen: ta.q.Len()},
-		result:    ta.result,
-		cands:     slices.Clone(ta.cands),
-	}
-}
-
-// ForkView is Fork behind the View interface — the shape region
-// computation (core.Runner) consumes for its per-dimension isolation.
-func (ta *TA) ForkView() View { return ta.Fork() }
-
-// Fork is an isolated resumable continuation of a completed TA run; see
-// TA.Fork. It implements View.
-type Fork struct {
-	scanState
-	arena  ProjArena
-	result []Scored
-	cands  []Scored
-}
-
-// Result returns the ranked top-k of the parent run (shared, read-only).
-func (f *Fork) Result() []Scored { return f.result }
-
-// Candidates returns this fork's view of C(q): the parent's candidates
-// at fork time plus this fork's own Resume pulls.
-func (f *Fork) Candidates() []Scored { return f.cands }
-
-// Resume continues this fork's scan until one new tuple is encountered,
-// appending it to the fork's candidate list. ok=false at exhaustion.
-func (f *Fork) Resume() (Scored, bool) {
-	for {
-		p, _, isNew, ok := f.rawStep()
-		if !ok {
-			return Scored{}, false
-		}
-		if isNew {
-			sc := f.score(p.ID, &f.arena)
-			f.cands = append(f.cands, sc)
-			return sc, true
 		}
 	}
 }
