@@ -11,7 +11,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X repro/internal/obs.Version=$(VERSION) -X repro/internal/obs.Commit=$(COMMIT)
 
-.PHONY: all build test race vet lint fuzz-smoke vuln bench-smoke bench-compare test-fallback test-wal test-replication test-failover test-obs test-shard check-docs ci
+.PHONY: all build test race vet lint fuzz-smoke vuln bench-smoke bench-compare test-fallback test-wal test-replication test-failover test-obs test-shard ledger-smoke check-docs ci
 
 all: ci
 
@@ -115,6 +115,15 @@ test-obs:
 # shard-killed fault-injection e2e — all under -race.
 test-shard:
 	$(GO) test -race -count=1 ./internal/shard/
+
+# Sharded deployment end to end: a 3-second ledgerbench run of the
+# sharded-analyze workload (4 shard servers behind the coordinator, over
+# loopback HTTP). Every answer is checked against a brute-force oracle;
+# the target fails unless the summary line reports "correct":true.
+ledger-smoke:
+	@out=$$(bash ledgerbench/run.sh --workload sharded-analyze --seed 1 --seconds 3 --trace 0) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | tail -n 4; \
+	echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo 'ledger-smoke: summary line does not report "correct":true'; exit 1; }
 
 # Docs drift check: markdown cross-references must resolve and every
 # flag the docs mention must exist in the binaries.

@@ -125,6 +125,15 @@ type Options struct {
 	Schedule Schedule
 }
 
+// Envelope reports whether the computation takes the §6 envelope path
+// (φ > 0, iterative, forced envelope, composition-only) rather than
+// the three-phase Algorithms 1–3. The sharded merge dispatches on the
+// same predicate: envelope regions merge by replaying shard lines,
+// classic ones by per-shard min/max.
+func (o Options) Envelope() bool {
+	return o.Phi > 0 || o.ForceEnvelope || o.CompositionOnly
+}
+
 // Schedule is the probing schedule of Thres/CPT. §5.2 reports having
 // tried alternatives to plain round-robin, such as drawing from the
 // score list twice as often (it feeds both bound searches); round-robin
@@ -263,6 +272,11 @@ type computer struct {
 	n    int // dataset cardinality
 	opts Options
 	res  []topk.Scored
+
+	// shard is the Runner when it is a shard's imposed runner, which
+	// collects the lines the coordinator's envelope replay may need;
+	// nil on a single node, which therefore pays nothing for it.
+	shard *imposedRunner
 
 	// ctx may be nil (never cancelled). The phase loops poll it at a
 	// coarse stride — each iteration they guard costs a tuple fetch — and
@@ -425,6 +439,7 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 		res:  r.Result(),
 		ctx:  ctx,
 	}
+	c.shard, _ = r.(*imposedRunner)
 	qlen := c.q.Len()
 	out := &Output{Query: c.q, K: c.k, Result: c.res}
 	out.Regions = make([]Regions, qlen)
@@ -491,7 +506,7 @@ func (d *dimComputer) computeDim(jx int) Regions {
 	switch {
 	case opts.Iterative && opts.Phi > 0:
 		return d.iterativeDim(jx)
-	case opts.Phi > 0 || opts.ForceEnvelope || opts.CompositionOnly:
+	case opts.Envelope():
 		// Composition-only always takes the envelope path: a tuple
 		// enters the result set when it crosses the k-th score
 		// envelope, which is below dk's own line once result tuples

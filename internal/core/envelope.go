@@ -116,6 +116,12 @@ func (c *dimComputer) envelopeDim(jx, phi int) Regions {
 	c.envelopePhase3(jx, right, left)
 	c.met.Phase3 += t2()
 
+	// The iterative mode's earlier rounds run at a smaller φ; the
+	// coordinator replays at the requested one.
+	if c.shard != nil && phi == c.opts.Phi {
+		c.reportLines(jx, right, 1)
+		c.reportLines(jx, left, -1)
+	}
 	return assembleRegions(c.q.Dims[jx], jx, qj, right, left)
 }
 

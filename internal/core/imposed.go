@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"repro/internal/geom"
 	"repro/internal/lists"
 	"repro/internal/storage"
 	"repro/internal/topk"
@@ -41,8 +42,9 @@ import (
 // (a shard's local top-k always contains its global-result members, so
 // they would otherwise be double-reported as candidates).
 //
-// Phase-3 pulls land in the wrapped runner's shared candidate list, so
-// ContributedLines reports every line offered to the boundaries.
+// On the envelope paths the runner records the shard lines the
+// coordinator's replay may need (reportLines); ContributedLines reports
+// exactly those, and nothing after a classic φ = 0 computation.
 func WithImposed(r Runner, base int, imposed []topk.Scored) Runner {
 	return &imposedRunner{inner: r, base: base, imposed: imposed}
 }
@@ -59,6 +61,17 @@ type imposedRunner struct {
 	// lists grow (Resume only ever appends).
 	cands    []topk.Scored
 	innerLen int
+
+	// kept holds the global ids of the shard lines reportLines kept, on
+	// either side of any dimension.
+	kept map[int]struct{}
+}
+
+func (v *imposedRunner) keepLine(id int) {
+	if v.kept == nil {
+		v.kept = make(map[int]struct{})
+	}
+	v.kept[id] = struct{}{}
 }
 
 func (v *imposedRunner) Query() vec.Query { return v.inner.Query() }
@@ -139,13 +152,91 @@ func (v *imposedRunner) Index() lists.Index {
 
 func (v *imposedRunner) RunContext(ctx context.Context) error { return v.inner.RunContext(ctx) }
 
-// ContributedLines returns every shard line the computation offered to
-// the result boundaries — the candidate view after all phases ran,
-// including Phase-3 pulls — under global ids. The coordinator replays
-// these through ReplayRegions for φ > 0 merges; the set is a superset
-// of the boundary-accepted lines, which is all replay exactness needs.
+// ContributedLines returns, under global ids and in candidate order,
+// the shard lines reportLines kept — the input of the coordinator's
+// ReplayRegions merge. After a classic φ = 0 computation it is empty:
+// that merge reads only the per-shard bounds.
 func (v *imposedRunner) ContributedLines() []topk.Scored {
-	return append([]topk.Scored(nil), v.Candidates()...)
+	if len(v.kept) == 0 {
+		return nil
+	}
+	out := make([]topk.Scored, 0, len(v.kept))
+	for _, sc := range v.Candidates() {
+		if _, ok := v.kept[sc.ID]; ok {
+			out = append(out, sc)
+		}
+	}
+	return out
+}
+
+// reportLines hands the shard runner every shard line on one side of
+// dimension jx that the coordinator's replay over the union of all
+// shards' lines could accept: the lines this side's boundary accepted,
+// and every candidate that climbs above the boundary's k-th envelope
+// before unionHorizon. The union's k-th envelope lies at or above this
+// one at every x, since it ranks a superset of the lines, and its
+// horizon comes no later than unionHorizon; so a line this test drops
+// stays below the union's envelope up to the union's horizon, where
+// the replay rejects it as well. The candidates' projections come from
+// the scan, so the test fetches nothing.
+func (d *dimComputer) reportLines(jx int, b *boundary, sgn float64) {
+	for _, ln := range b.lines[b.k:] {
+		d.shard.keepLine(ln.ID)
+	}
+	h := b.unionHorizon()
+	env := geom.KthEnvelope(b.lines, b.k, 0, h)
+	for _, sc := range d.view.Candidates() {
+		if x, ok := env.FirstCrossingAbove(geom.Line{A: sc.Score, B: sgn * sc.Proj[jx]}); ok && x < h {
+			d.shard.keepLine(sc.ID)
+		}
+	}
+}
+
+// unionHorizon bounds from above the horizon of a boundary seeded with
+// the same result lines over any set of candidate lines — in
+// particular over the union of every shard's lines. The shard's own
+// horizon is no such bound: a crossing between two of its lines that
+// counts as an event here can sink below rank k once another shard's
+// line enters, so the union can reach its (φ+1)-th event later.
+//
+// Crossings among the result lines are the bound's currency. Take any
+// line set holding the k result lines, and let P count its events
+// where a non-result line enters and a result line leaves, Q the
+// events where a result line enters and another leaves. A crossing
+// between two result lines fails to be an event only while both are
+// out of the top k; at most P result lines are out at once and each
+// pair crosses once, so at most C(P,2) + Q(P−1) such crossings are
+// lost. With N_R(x) the crossings among the result lines up to x, the
+// set has at least P + N_R(x) − C(P,2) − Q(P−1) events up to x; while
+// it has at most φ, P + Q ≤ φ and the count is at least
+// N_R(x) − crowdSlack(φ). So its horizon lies at or before the
+// (φ+1+crowdSlack(φ))-th crossing among the result lines.
+// Composition-only boundaries count only entries, which crossings
+// among result lines do not bound, so their bound is the domain end.
+func (b *boundary) unionHorizon() float64 {
+	if b.compOnly {
+		return b.domainEnd
+	}
+	need := b.phi + 1 + crowdSlack(b.phi)
+	cs := geom.FirstCrossings(b.lines[:b.k], 0, b.domainEnd, need)
+	if len(cs) < need {
+		return b.domainEnd
+	}
+	return cs[need-1].X
+}
+
+// crowdSlack is the most result-line crossings other lines can keep
+// from counting before φ+1 events: the maximum over P + Q ≤ φ of
+// C(P,2) + Q(P−1) − P, and at least 0 (see unionHorizon). It is 0 up
+// to φ = 3.
+func crowdSlack(phi int) int {
+	g := 0
+	for p := 1; p <= phi; p++ {
+		if v := p*(p-1)/2 + (phi-p)*(p-1) - p; v > g {
+			g = v
+		}
+	}
+	return g
 }
 
 // offsetIndex presents a shard-local index under global tuple ids:
@@ -193,11 +284,12 @@ func (c *offsetCursor) Clone() lists.Cursor {
 
 // ReplayRegions is the coordinator-side φ > 0 (and envelope-path) merge:
 // it reruns the §6 boundary machinery per dimension over the imposed
-// result lines, offering every shard-contributed line. Because a line
-// rejected by boundary.consider provably never touches the k-th
-// envelope within the horizon, offering a superset of the relevant
-// lines yields exactly the arrangement — and therefore exactly the
-// perturbation sequence — a single node computes over the union.
+// result lines, offering every line the shards reported. A line that
+// stays below the union's k-th envelope up to the union's horizon never
+// enters the arrangement's events, so offering any superset of the
+// lines that climb above it there (what ContributedLines reports, per
+// shard) yields exactly the perturbation sequence of a replay over
+// every candidate of the union.
 // k is the requested result size; len(res) < k degenerates to the full
 // weight domain exactly as ComputeView's |R| < k branch does.
 func ReplayRegions(q vec.Query, k int, res, extra []topk.Scored, opts Options) []Regions {

@@ -18,7 +18,7 @@ import (
 )
 
 // lineContributor is the accessor core.WithImposed's runner exposes for
-// the lines the computation offered to the result boundaries.
+// the shard lines the coordinator's envelope replay may need.
 type lineContributor interface {
 	ContributedLines() []topk.Scored
 }
@@ -28,15 +28,16 @@ type lineContributor interface {
 // this shard's id offset (global id = base + local id); imposed is the
 // coordinator's merged top-k under global ids, whose lines stand in for
 // the local result throughout the region phases. The returned Output
-// carries the shard's constraint regions (global ids everywhere) and
-// lines is every shard tuple line the phases offered to the result
-// boundaries — the raw material of the coordinator's φ > 0 replay
-// merge.
+// carries the shard's constraint regions (global ids everywhere). lines
+// is what the coordinator's merge reads besides them: nothing on the
+// classic φ = 0 path, whose merge takes min/max over the per-shard
+// bounds, and on the envelope paths the shard lines its boundaries
+// accepted or that could climb above them before the union's horizon —
+// the input of the coordinator's replay (docs/sharding.md).
 //
 // Imposed analyses bypass the answer cache in both directions: the
 // output certifies the imposed result, not a local answer, so it can
-// neither be served from nor admitted to the cache. Every Phase-3 pull
-// lands in the shared candidate list the contributed-line report reads.
+// neither be served from nor admitted to the cache.
 func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, imposed []topk.Scored, opts Options) (*core.Output, []topk.Scored, error) {
 	if ctx == nil {
 		ctx = context.Background()

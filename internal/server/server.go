@@ -556,14 +556,20 @@ func toAnalyzeResponse(a *engine.Analysis) AnalyzeResponse {
 		Result:  toEntries(a.Result),
 		Regions: ToRegionsJSON(a.Regions),
 		Cache:   a.Source.String(),
-		Metrics: MetricsJSON{
-			Evaluated:    a.Metrics.Evaluated,
-			EvaluatedAvg: a.Metrics.EvaluatedPerDimAvg(),
-			SeqPages:     a.Metrics.SeqPages,
-			RandReads:    a.Metrics.RandReads,
-			CPUMicros:    a.Metrics.CPU().Microseconds(),
-			MemBytes:     a.Metrics.MemBytes,
-		},
+		Metrics: ToMetricsJSON(a.Metrics),
+	}
+}
+
+// ToMetricsJSON renders an analysis's metrics for /analyze, on a single
+// node and on the shard coordinator.
+func ToMetricsJSON(m core.Metrics) MetricsJSON {
+	return MetricsJSON{
+		Evaluated:    m.Evaluated,
+		EvaluatedAvg: m.EvaluatedPerDimAvg(),
+		SeqPages:     m.SeqPages,
+		RandReads:    m.RandReads,
+		CPUMicros:    m.CPU().Microseconds(),
+		MemBytes:     m.MemBytes,
 	}
 }
 
@@ -581,6 +587,23 @@ func ToRegionsJSON(regs []core.Regions) []RegionJSON {
 			rj.Right = append(rj.Right, PerturbationJSON(p))
 		}
 		out = append(out, rj)
+	}
+	return out
+}
+
+// FromRegionsJSON is the inverse of ToRegionsJSON; QPos is the position
+// in the rendered order, which is query-dimension order.
+func FromRegionsJSON(rjs []RegionJSON) []core.Regions {
+	out := make([]core.Regions, len(rjs))
+	for jx, rj := range rjs {
+		reg := core.Regions{Dim: rj.Dim, QPos: jx, Lo: rj.Lo, Hi: rj.Hi}
+		for _, p := range rj.Left {
+			reg.Left = append(reg.Left, core.Perturbation(p))
+		}
+		for _, p := range rj.Right {
+			reg.Right = append(reg.Right, core.Perturbation(p))
+		}
+		out[jx] = reg
 	}
 	return out
 }

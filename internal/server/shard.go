@@ -71,13 +71,18 @@ type ShardAnalyzeRequest struct {
 
 // ShardAnalyzeResponse is the body of a successful /shard/analyze: the
 // constraint regions the shard's tuples impose on the imposed result
-// (in query-dimension order, global ids), and every shard line the
-// phases offered to the boundaries — the coordinator's φ > 0 replay
-// input.
+// (in query-dimension order, global ids), the shard lines the
+// coordinator's envelope replay reads, and the shard's metrics. Lines
+// is absent on the classic φ = 0 path, whose merge reads only the
+// regions; on the envelope paths it holds the lines the shard's
+// boundaries accepted or that could climb above them before the
+// union's horizon (engine.AnalyzeImposed, docs/sharding.md). Metrics is
+// core.Metrics as it stands, phase times in nanoseconds, so every
+// counter the coordinator sums crosses the wire.
 type ShardAnalyzeResponse struct {
 	Regions []RegionJSON `json:"regions"`
-	Lines   []ScoredJSON `json:"lines"`
-	Metrics MetricsJSON  `json:"metrics"`
+	Lines   []ScoredJSON `json:"lines,omitempty"`
+	Metrics core.Metrics `json:"metrics"`
 }
 
 // handleShardTopK answers the coordinator's round-1 scatter: the local
@@ -137,17 +142,9 @@ func (s *Server) handleShardAnalyze(w http.ResponseWriter, r *http.Request) {
 		engineError(w, err)
 		return
 	}
-	resp := ShardAnalyzeResponse{
+	writeJSON(w, http.StatusOK, ShardAnalyzeResponse{
 		Regions: ToRegionsJSON(out.Regions),
 		Lines:   ToScoredJSON(lines),
-		Metrics: MetricsJSON{
-			Evaluated:    out.Metrics.Evaluated,
-			EvaluatedAvg: out.Metrics.EvaluatedPerDimAvg(),
-			SeqPages:     out.Metrics.SeqPages,
-			RandReads:    out.Metrics.RandReads,
-			CPUMicros:    out.Metrics.CPU().Microseconds(),
-			MemBytes:     out.Metrics.MemBytes,
-		},
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Metrics: out.Metrics,
+	})
 }

@@ -241,7 +241,7 @@ type Analysis struct {
 // result R, then fan R back out so every shard reports the constraints
 // its own tuples impose on it, and merge those — strict min/max of the
 // per-dimension bounds on the classic φ = 0 path, an exact event replay
-// of the union of shard-contributed lines on the envelope paths. Both
+// of the union of the lines the shards report on the envelope paths. Both
 // merges are bit-identical to a single-node Analyze over the union of
 // the shards' tuples; docs/sharding.md gives the argument.
 func (c *Coordinator) Analyze(ctx context.Context, q vec.Query, k int, opts engine.Options) (*Analysis, error) {

@@ -79,21 +79,12 @@ func (h HTTPBackend) AnalyzeImposed(ctx context.Context, q vec.Query, k, base in
 	if err := h.C.PostJSON(ctx, "/shard/analyze", body, &resp); err != nil {
 		return nil, nil, err
 	}
-	out := &core.Output{Query: q, K: k, Result: imposed}
-	out.Metrics.Evaluated = resp.Metrics.Evaluated
-	out.Metrics.SeqPages = resp.Metrics.SeqPages
-	out.Metrics.RandReads = resp.Metrics.RandReads
-	out.Metrics.MemBytes = resp.Metrics.MemBytes
-	out.Regions = make([]core.Regions, len(resp.Regions))
-	for jx, rj := range resp.Regions {
-		reg := core.Regions{Dim: rj.Dim, QPos: jx, Lo: rj.Lo, Hi: rj.Hi}
-		for _, p := range rj.Left {
-			reg.Left = append(reg.Left, core.Perturbation(p))
-		}
-		for _, p := range rj.Right {
-			reg.Right = append(reg.Right, core.Perturbation(p))
-		}
-		out.Regions[jx] = reg
+	out := &core.Output{
+		Query:   q,
+		K:       k,
+		Result:  imposed,
+		Regions: server.FromRegionsJSON(resp.Regions),
+		Metrics: resp.Metrics,
 	}
 	return out, server.FromScoredJSON(resp.Lines), nil
 }
@@ -233,13 +224,7 @@ func NewHandler(c *Coordinator) http.Handler {
 			resp.Result = append(resp.Result, server.ResultEntry{ID: sc.ID, Score: sc.Score})
 		}
 		resp.Regions = server.ToRegionsJSON(an.Regions)
-		resp.Metrics = server.MetricsJSON{
-			Evaluated:    an.Metrics.Evaluated,
-			EvaluatedAvg: an.Metrics.EvaluatedPerDimAvg(),
-			SeqPages:     an.Metrics.SeqPages,
-			RandReads:    an.Metrics.RandReads,
-			MemBytes:     an.Metrics.MemBytes,
-		}
+		resp.Metrics = server.ToMetricsJSON(an.Metrics)
 		writeJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("/update", func(w http.ResponseWriter, r *http.Request) {

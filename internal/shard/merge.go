@@ -75,10 +75,11 @@ func mergeTopK(lists [][]topk.Scored, k int) []topk.Scored {
 // mergeRegions combines the shards' per-dimension constraint regions,
 // mirroring core's computeDim dispatch: the envelope paths (φ > 0,
 // iterative, forced envelope, composition-only) merge by replaying the
-// union of shard-contributed lines against the imposed result; the
-// classic φ = 0 path merges by strict min/max of the per-shard bounds.
+// union of the shards' boundary-accepted lines against the imposed
+// result; the classic φ = 0 path merges by strict min/max of the
+// per-shard bounds and reads no lines (the shards send none).
 func mergeRegions(q vec.Query, k int, res []topk.Scored, outs []*core.Output, lines []topk.Scored, opts engine.Options) []core.Regions {
-	if opts.Phi > 0 || opts.ForceEnvelope || opts.CompositionOnly {
+	if opts.Envelope() {
 		// Shards contribute disjoint tuple sets (imposed members are
 		// excluded shard-side), so the union needs no dedup. The replay
 		// is offer-order independent; sorting into the canonical

@@ -12,10 +12,11 @@
 // regions merge in two rounds: the coordinator first merges the global
 // result R, then asks every shard for the constraints its own tuples
 // impose on R (engine.AnalyzeImposed over core.WithImposed); at φ = 0
-// the per-dimension bounds combine by strict min/max, at φ > 0 the
-// coordinator replays the union of shard-contributed lines through
-// core.ReplayRegions. docs/sharding.md carries the correctness
-// argument; TestShardedBitIdentical machine-checks it.
+// the per-dimension bounds combine by strict min/max and the shards
+// send no lines; at φ > 0 the coordinator replays the union of the
+// lines the shards report through core.ReplayRegions. docs/sharding.md
+// carries the correctness argument and the round-2 wire contract;
+// TestShardedBitIdentical machine-checks it.
 package shard
 
 import (
